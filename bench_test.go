@@ -15,6 +15,7 @@ import (
 	pasta "repro"
 	"repro/internal/dataset"
 	"repro/internal/hicoo"
+	"repro/internal/levels"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/perfmodel"
@@ -253,23 +254,23 @@ func BenchmarkKernelsHost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("Tew/COO", tew.FlopCount(), func() { tew.ExecuteOMP(opt) })
+	run("Tew/COO", tew.FlopCount(), func() { _, _ = tew.ExecuteOMP(opt) })
 	tewH, err := pasta.PrepareTewHiCOO(hx, hy, pasta.OpAdd)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("Tew/HiCOO", tewH.FlopCount(), func() { tewH.ExecuteOMP(opt) })
+	run("Tew/HiCOO", tewH.FlopCount(), func() { _, _ = tewH.ExecuteOMP(opt) })
 
 	ts, err := pasta.PrepareTs(x, 1.0001, pasta.OpMul)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("Ts/COO", ts.FlopCount(), func() { ts.ExecuteOMP(opt) })
+	run("Ts/COO", ts.FlopCount(), func() { _, _ = ts.ExecuteOMP(opt) })
 	tsH, err := pasta.PrepareTsHiCOO(hx, 1.0001, pasta.OpMul)
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("Ts/HiCOO", tsH.FlopCount(), func() { tsH.ExecuteOMP(opt) })
+	run("Ts/HiCOO", tsH.FlopCount(), func() { _, _ = tsH.ExecuteOMP(opt) })
 
 	ttv, err := pasta.PrepareTtv(x, 0)
 	if err != nil {
@@ -396,7 +397,8 @@ func BenchmarkAblationGHiCOO(b *testing.B) {
 }
 
 // BenchmarkAblationMttkrpStrategy compares the Mttkrp parallelization
-// strategies: atomics, privatization, HiCOO blocks, CSF root-mode.
+// strategies: atomics, privatization, HiCOO blocks, and the level
+// iterators' root-mode Mttkrp on CSF and blocked-CSF trees.
 func BenchmarkAblationMttkrpStrategy(b *testing.B) {
 	x := benchTensor(b, "irrS")
 	r := pasta.DefaultR
@@ -417,9 +419,11 @@ func BenchmarkAblationMttkrpStrategy(b *testing.B) {
 			_, _ = p.ExecuteOMP(mats, atomicOpt)
 		}
 	})
+	privOpt := opt
+	privOpt.Strategy = pasta.StrategyPrivatized
 	b.Run("coo-privatized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = p.ExecuteOMPPrivatized(mats, opt)
+			_, _ = p.ExecuteOMP(mats, privOpt)
 		}
 	})
 	b.Run("coo-adaptive", func(b *testing.B) {
@@ -442,22 +446,23 @@ func BenchmarkAblationMttkrpStrategy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("csf-root", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.MttkrpRoot(mats, opt); err != nil {
-				b.Fatal(err)
+	ch := levels.FromCSF(c)
+	bh, err := levels.BlockRoot(ch, hicoo.DefaultBlockBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tree := range []struct {
+		name string
+		h    *levels.Hierarchy
+	}{{"csf-root", ch}, {"bcsf-root", bh}} {
+		b.Run(tree.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := levels.Mttkrp(tree.h, 0, mats, opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("bcsf-balanced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.MttkrpRootBalanced(mats, opt, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st := c.ComputeTaskStats(0)
-		b.ReportMetric(float64(st.Tasks), "tasks")
-	})
+		})
+	}
 }
 
 // BenchmarkMultiGPUScaling runs the multi-device Mttkrp across 1-4
@@ -530,7 +535,12 @@ func BenchmarkAblationReordering(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := p.ApplyToVector(tensor.RandomVector(int(x.Dims[1]), pasta.GenerateSeeded(6)), 1)
+		// Relabel the vector the way mode 1 was relabeled.
+		v0 := tensor.RandomVector(int(x.Dims[1]), pasta.GenerateSeeded(6))
+		v := make(tensor.Vector, len(v0))
+		for old, val := range v0 {
+			v[p.Maps[1][old]] = val
+		}
 		b.Run(name, func(b *testing.B) {
 			opt := parallel.Options{Schedule: parallel.Dynamic}
 			for i := 0; i < b.N; i++ {

@@ -16,6 +16,10 @@
 //	plan, _ := pasta.PrepareTtv(x, 2)           // preprocessing (sort, fptr, output alloc)
 //	y, _ := plan.ExecuteOMP(v, pasta.Dynamic()) // the timed kernel
 //
+// Every kernel's ExecuteOMP returns its output and an error: a cancelled
+// or expired Options.Ctx stops the parallel loop early and is reported
+// as an error rather than as a partial result.
+//
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and experiment index, and EXPERIMENTS.md for paper-versus-
 // measured results.

@@ -37,7 +37,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	z := tew.ExecuteOMP(pasta.Dynamic())
+	z, err := tew.ExecuteOMP(pasta.Dynamic())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Tew  add : %d non-zeros, z[0] = %.4f (x[0]+2)\n", z.NNZ(), z.Vals[0])
 
 	// ---- Ts: tensor-scalar multiply -------------------------------------
@@ -45,7 +48,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := ts.ExecuteOMP(pasta.Dynamic())
+	s, err := ts.ExecuteOMP(pasta.Dynamic())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Ts   mul : s[0] = %.4f (3·x[0])\n", s.Vals[0])
 
 	// ---- Ttv: tensor-times-vector in every mode -------------------------

@@ -31,7 +31,9 @@ func TestKernelsOnEmptyTensor(t *testing.T) {
 	if out := tp.ExecuteSeq(); out.NNZ() != 0 {
 		t.Fatal("Tew on empty produced non-zeros")
 	}
-	tp.ExecuteOMP(parallel.Options{})
+	if _, err := tp.ExecuteOMP(parallel.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	tp.ExecuteGPU(testDevice())
 
 	sp, err := PrepareTs(x, 2, Mul)
@@ -181,7 +183,9 @@ func TestTewAllOpsDifferentPatternsGPUAndOMPAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := append([]tensor.Value(nil), p.ExecuteSeq().Vals...)
-		p.ExecuteOMP(parallel.Options{Schedule: parallel.Guided})
+		if _, err := p.ExecuteOMP(parallel.Options{Schedule: parallel.Guided}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if p.Out.Vals[i] != want[i] {
 				t.Fatalf("%v: OMP differs at %d", op, i)

@@ -106,13 +106,6 @@ func (p *MttkrpPlan) ExecuteOMP(mats []*tensor.Matrix, opt parallel.Options) (*t
 	return p.Out, nil
 }
 
-// ExecuteOMPPrivatized forces the privatized strategy regardless of the
-// adaptive selector (the explicit form benchmarks compare against).
-func (p *MttkrpPlan) ExecuteOMPPrivatized(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	opt.Strategy = parallel.Privatized
-	return p.ExecuteOMP(mats, opt)
-}
-
 // ExecuteGPU runs COO-Mttkrp-GPU following ParTI: a 1-D grid of 2-D thread
 // blocks (x = matrix columns for coalescing, y = non-zeros) with atomicAdd
 // on the output matrix (§3.2.2).

@@ -69,7 +69,7 @@ func TestMttkrpParallelStrategiesAgree(t *testing.T) {
 		}
 		compareMatrix(t, got, want, "Mttkrp OMP-atomic")
 
-		got, err = p.ExecuteOMPPrivatized(mats, parallel.Options{Schedule: parallel.Static})
+		got, err = p.ExecuteOMP(mats, parallel.Options{Schedule: parallel.Static, Strategy: parallel.Privatized})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,11 +152,12 @@ func (p *TewPlan) ExecuteSeq() *tensor.COO {
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
-func (p *TewPlan) ExecuteOMP(opt parallel.Options) *tensor.COO {
-	parallel.For(p.Out.NNZ(), opt, func(lo, hi, _ int) {
+// A cancelled or expired opt.Ctx stops it early with parallel.ErrDeadline.
+func (p *TewPlan) ExecuteOMP(opt parallel.Options) (*tensor.COO, error) {
+	err := parallel.For(p.Out.NNZ(), opt, func(lo, hi, _ int) {
 		p.executeRange(lo, hi)
 	})
-	return p.Out
+	return p.Out, err
 }
 
 // ExecuteGPU runs the COO-Tew-GPU kernel: a 1-D grid of 1-D thread blocks,

@@ -79,11 +79,12 @@ func (p *TewHiCOOPlan) ExecuteSeq() *hicoo.HiCOO {
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
-func (p *TewHiCOOPlan) ExecuteOMP(opt parallel.Options) *hicoo.HiCOO {
-	parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
+// A cancelled or expired opt.Ctx stops it early with parallel.ErrDeadline.
+func (p *TewHiCOOPlan) ExecuteOMP(opt parallel.Options) (*hicoo.HiCOO, error) {
+	err := parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
 		tewValues(p.X.Vals, p.Y.Vals, p.Out.Vals, p.Op, lo, hi)
 	})
-	return p.Out
+	return p.Out, err
 }
 
 // ExecuteGPU runs HiCOO-Tew-GPU, which the paper notes shares its
@@ -177,11 +178,12 @@ func (p *TsHiCOOPlan) ExecuteSeq() *hicoo.HiCOO {
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
-func (p *TsHiCOOPlan) ExecuteOMP(opt parallel.Options) *hicoo.HiCOO {
-	parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
+// A cancelled or expired opt.Ctx stops it early with parallel.ErrDeadline.
+func (p *TsHiCOOPlan) ExecuteOMP(opt parallel.Options) (*hicoo.HiCOO, error) {
+	err := parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
 		p.executeRange(lo, hi)
 	})
-	return p.Out
+	return p.Out, err
 }
 
 // ExecuteGPU runs HiCOO-Ts-GPU: one thread per non-zero.

@@ -129,7 +129,10 @@ func TestTewOMPAndGPUAgreeWithSeq(t *testing.T) {
 		}
 		want := append([]tensor.Value(nil), p.ExecuteSeq().Vals...)
 		for _, sched := range []parallel.Schedule{parallel.Static, parallel.Dynamic, parallel.Guided} {
-			got := p.ExecuteOMP(parallel.Options{Schedule: sched})
+			got, err := p.ExecuteOMP(parallel.Options{Schedule: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range want {
 				if got.Vals[i] != want[i] {
 					t.Fatalf("OMP(%v) entry %d differs", sched, i)
@@ -217,7 +220,9 @@ func TestTewHiCOOMatchesCOO(t *testing.T) {
 
 		// Parallel and GPU paths agree entry-for-entry with sequential.
 		want := append([]tensor.Value(nil), hz.Vals...)
-		hp.ExecuteOMP(parallel.Options{Schedule: parallel.Dynamic})
+		if _, err := hp.ExecuteOMP(parallel.Options{Schedule: parallel.Dynamic}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if hp.Out.Vals[i] != want[i] {
 				t.Fatalf("%v: HiCOO OMP entry %d differs", op, i)

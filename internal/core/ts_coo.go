@@ -59,11 +59,12 @@ func (p *TsPlan) ExecuteSeq() *tensor.COO {
 }
 
 // ExecuteOMP runs the value computation with the OpenMP-style runtime.
-func (p *TsPlan) ExecuteOMP(opt parallel.Options) *tensor.COO {
-	parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
+// A cancelled or expired opt.Ctx stops it early with parallel.ErrDeadline.
+func (p *TsPlan) ExecuteOMP(opt parallel.Options) (*tensor.COO, error) {
+	err := parallel.For(p.X.NNZ(), opt, func(lo, hi, _ int) {
 		p.executeRange(lo, hi)
 	})
-	return p.Out
+	return p.Out, err
 }
 
 // ExecuteGPU runs the COO-Ts-GPU kernel: one thread per non-zero in a 1-D

@@ -73,7 +73,9 @@ func TestTsOMPAndGPUAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := append([]tensor.Value(nil), p.ExecuteSeq().Vals...)
-		p.ExecuteOMP(parallel.Options{Schedule: parallel.Static})
+		if _, err := p.ExecuteOMP(parallel.Options{Schedule: parallel.Static}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if p.Out.Vals[i] != want[i] {
 				t.Fatalf("%v OMP entry %d differs", op, i)
@@ -107,7 +109,9 @@ func TestTsHiCOOMatchesCOO(t *testing.T) {
 		compareMaps(t, cooToF64Map(hz.ToCOO()), cooToF64Map(cz), "HiCOO-Ts "+op.String())
 
 		want := append([]tensor.Value(nil), hz.Vals...)
-		hp.ExecuteOMP(parallel.Options{Schedule: parallel.Guided})
+		if _, err := hp.ExecuteOMP(parallel.Options{Schedule: parallel.Guided}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if hp.Out.Vals[i] != want[i] {
 				t.Fatalf("%v: HiCOO OMP entry %d differs", op, i)

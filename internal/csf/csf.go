@@ -2,15 +2,14 @@
 // (Smith et al., IPDPS'15), which the paper's §7 lists as the next format
 // to add to the suite. CSF stores a sparse tensor as a forest: one tree
 // level per mode (in a configurable mode order), with fiber pointers
-// between levels. Mttkrp in the root mode parallelizes over root
-// subtrees without atomics — the lock-free contrast to COO-Mttkrp's
-// atomic updates.
+// between levels. The package holds the tree and its builder; the
+// kernels run on it through internal/levels, whose FromCSF wraps a tree
+// as a hierarchy of compressed levels without copying.
 package csf
 
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -208,138 +207,6 @@ func (c *CSF) Validate() error {
 		}
 	}
 	return nil
-}
-
-// MttkrpRoot computes the Mttkrp in the CSF's root mode without atomics:
-// root subtrees own disjoint output rows, so the parallel loop is
-// race-free — the structural advantage over COO-Mttkrp.
-func (c *CSF) MttkrpRoot(mats []*tensor.Matrix, opt parallel.Options) (*tensor.Matrix, error) {
-	order := c.Order()
-	if len(mats) != order {
-		return nil, fmt.Errorf("csf: got %d factor matrices, want %d", len(mats), order)
-	}
-	rootMode := c.ModeOrder[0]
-	r := 0
-	for l, u := range mats {
-		if l == rootMode {
-			continue
-		}
-		if u == nil {
-			return nil, fmt.Errorf("csf: factor matrix %d is nil", l)
-		}
-		if r == 0 {
-			r = u.Cols
-		}
-		if u.Rows != int(c.Dims[l]) || u.Cols != r {
-			return nil, fmt.Errorf("csf: factor %d is %dx%d, want %dx%d", l, u.Rows, u.Cols, c.Dims[l], r)
-		}
-	}
-	out := tensor.NewMatrix(int(c.Dims[rootMode]), r)
-	parallel.For(c.NumNodes(0), opt, func(lo, hi, _ int) {
-		scratch := make([]tensor.Value, (c.Order()-1)*r)
-		for root := lo; root < hi; root++ {
-			row := out.Row(int(c.FIds[0][root]))
-			c.accumulate(1, int(c.FPtr[0][root]), int(c.FPtr[0][root+1]), mats, scratch, r, row)
-		}
-	})
-	return out, nil
-}
-
-// accumulate adds the subtree contribution Σ_child U_l(fid,:) ⊙ g(child)
-// into dst; scratch provides one r-vector per tree level.
-func (c *CSF) accumulate(level, lo, hi int, mats []*tensor.Matrix, scratch []tensor.Value, r int, dst []tensor.Value) {
-	leaf := c.Order() - 1
-	mode := c.ModeOrder[level]
-	u := mats[mode]
-	if level == leaf {
-		for node := lo; node < hi; node++ {
-			v := c.Vals[node]
-			urow := u.Row(int(c.FIds[level][node]))
-			for i := 0; i < r; i++ {
-				dst[i] += v * urow[i]
-			}
-		}
-		return
-	}
-	buf := scratch[(level-1)*r : level*r]
-	for node := lo; node < hi; node++ {
-		for i := range buf {
-			buf[i] = 0
-		}
-		c.accumulate(level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), mats, scratch, r, buf)
-		urow := u.Row(int(c.FIds[level][node]))
-		for i := 0; i < r; i++ {
-			dst[i] += urow[i] * buf[i]
-		}
-	}
-}
-
-// TtvLeaf computes the tensor-times-vector product in the CSF's leaf
-// mode: each level-(N-2) node reduces its leaves to one output non-zero.
-// The output is returned in COO format.
-func (c *CSF) TtvLeaf(v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
-	order := c.Order()
-	leafMode := c.ModeOrder[order-1]
-	if len(v) != int(c.Dims[leafMode]) {
-		return nil, fmt.Errorf("csf: vector length %d, want %d", len(v), c.Dims[leafMode])
-	}
-	outDims := make([]tensor.Index, 0, order-1)
-	for n := 0; n < order; n++ {
-		if n != leafMode {
-			outDims = append(outDims, c.Dims[n])
-		}
-	}
-	parents := c.NumNodes(order - 2)
-	out := &tensor.COO{
-		Dims: outDims,
-		Inds: make([][]tensor.Index, order-1),
-		Vals: make([]tensor.Value, parents),
-	}
-	for on := range out.Inds {
-		out.Inds[on] = make([]tensor.Index, parents)
-	}
-	// Map every level < N-1 to its output mode slot.
-	outSlot := make([]int, order) // tensor mode → output mode position
-	pos := 0
-	for n := 0; n < order; n++ {
-		if n != leafMode {
-			outSlot[n] = pos
-			pos++
-		}
-	}
-	// Fill indices by walking the upper levels once (sequential, cheap),
-	// then reduce leaves in parallel.
-	c.fillParentIndices(0, 0, c.NumNodes(0), make([]tensor.Index, order), outSlot, out)
-	fptr := c.FPtr[order-2]
-	leafIds := c.FIds[order-1]
-	parallel.For(parents, opt, func(lo, hi, _ int) {
-		for p := lo; p < hi; p++ {
-			var acc tensor.Value
-			for x := fptr[p]; x < fptr[p+1]; x++ {
-				acc += c.Vals[x] * v[leafIds[x]]
-			}
-			out.Vals[p] = acc
-		}
-	})
-	return out, nil
-}
-
-// fillParentIndices writes the coordinates of every level-(N-2) node into
-// the output index arrays (one output non-zero per node, in node order).
-func (c *CSF) fillParentIndices(level, lo, hi int, idx []tensor.Index, outSlot []int, out *tensor.COO) {
-	parentLevel := c.Order() - 2
-	for node := lo; node < hi; node++ {
-		mode := c.ModeOrder[level]
-		idx[mode] = c.FIds[level][node]
-		if level == parentLevel {
-			for l := 0; l <= parentLevel; l++ {
-				m := c.ModeOrder[l]
-				out.Inds[outSlot[m]][node] = idx[m]
-			}
-			continue
-		}
-		c.fillParentIndices(level+1, int(c.FPtr[level][node]), int(c.FPtr[level][node+1]), idx, outSlot, out)
-	}
 }
 
 func (c *CSF) String() string {

@@ -1,13 +1,10 @@
 package csf
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -70,131 +67,6 @@ func TestCSFCompressesVsCOO(t *testing.T) {
 	}
 	if c.StorageBytes() >= x.StorageBytes() {
 		t.Fatalf("CSF %d bytes >= COO %d bytes on clustered tensor", c.StorageBytes(), x.StorageBytes())
-	}
-}
-
-func TestMttkrpRootMatchesCOO(t *testing.T) {
-	x := randTensor(5, []tensor.Index{30, 35, 25}, 2000)
-	r := 8
-	rng := rand.New(rand.NewSource(6))
-	mats := make([]*tensor.Matrix, 3)
-	for n := range mats {
-		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
-		mats[n].Randomize(rng)
-	}
-	for mode := 0; mode < 3; mode++ {
-		// CSF with the target mode as root.
-		mo := []int{mode}
-		for n := 0; n < 3; n++ {
-			if n != mode {
-				mo = append(mo, n)
-			}
-		}
-		c, err := FromCOO(x, mo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.MttkrpRoot(mats, parallel.Options{Schedule: parallel.Dynamic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Mttkrp(x, mats, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < got.Rows; i++ {
-			for cix := 0; cix < r; cix++ {
-				g, w := float64(got.At(i, cix)), float64(want.At(i, cix))
-				if math.Abs(g-w) > 2e-4*math.Max(1, math.Abs(w)) {
-					t.Fatalf("mode %d (%d,%d): CSF %v, COO %v", mode, i, cix, g, w)
-				}
-			}
-		}
-	}
-}
-
-func TestMttkrpRootOrder4(t *testing.T) {
-	x := randTensor(7, []tensor.Index{12, 10, 14, 9}, 700)
-	r := 4
-	rng := rand.New(rand.NewSource(8))
-	mats := make([]*tensor.Matrix, 4)
-	for n := range mats {
-		mats[n] = tensor.NewMatrix(int(x.Dims[n]), r)
-		mats[n].Randomize(rng)
-	}
-	c, err := FromCOO(x, []int{2, 0, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.MttkrpRoot(mats, parallel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Mttkrp(x, mats, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < got.Rows; i++ {
-		for cix := 0; cix < r; cix++ {
-			g, w := float64(got.At(i, cix)), float64(want.At(i, cix))
-			if math.Abs(g-w) > 2e-4*math.Max(1, math.Abs(w)) {
-				t.Fatalf("(%d,%d): CSF %v, COO %v", i, cix, g, w)
-			}
-		}
-	}
-}
-
-func TestMttkrpRootErrors(t *testing.T) {
-	x := randTensor(9, []tensor.Index{6, 6, 6}, 30)
-	c, _ := FromCOO(x, nil)
-	if _, err := c.MttkrpRoot([]*tensor.Matrix{nil}, parallel.Options{}); err == nil {
-		t.Fatal("expected matrix-count error")
-	}
-	mats := []*tensor.Matrix{nil, tensor.NewMatrix(6, 4), tensor.NewMatrix(5, 4)}
-	if _, err := c.MttkrpRoot(mats, parallel.Options{}); err == nil {
-		t.Fatal("expected shape error")
-	}
-	mats2 := []*tensor.Matrix{nil, nil, tensor.NewMatrix(6, 4)}
-	if _, err := c.MttkrpRoot(mats2, parallel.Options{}); err == nil {
-		t.Fatal("expected nil-matrix error")
-	}
-}
-
-func TestTtvLeafMatchesCOO(t *testing.T) {
-	x := randTensor(10, []tensor.Index{25, 30, 40}, 1500)
-	rng := rand.New(rand.NewSource(11))
-	for mode := 0; mode < 3; mode++ {
-		mo := []int{}
-		for n := 0; n < 3; n++ {
-			if n != mode {
-				mo = append(mo, n)
-			}
-		}
-		mo = append(mo, mode) // target mode last = leaf
-		c, err := FromCOO(x, mo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := tensor.RandomVector(int(x.Dims[mode]), rng)
-		got, err := c.TtvLeaf(v, parallel.Options{Schedule: parallel.Static})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Ttv(x, v, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := tensor.AbsDiff(got, want); d > 1e-3 {
-			t.Fatalf("mode %d: diff %v", mode, d)
-		}
-	}
-}
-
-func TestTtvLeafVectorLengthError(t *testing.T) {
-	x := randTensor(12, []tensor.Index{5, 5, 5}, 20)
-	c, _ := FromCOO(x, nil)
-	if _, err := c.TtvLeaf(tensor.NewVector(3), parallel.Options{}); err == nil {
-		t.Fatal("expected length error")
 	}
 }
 

@@ -78,3 +78,25 @@ func TestSerialRungAgreement(t *testing.T) {
 		}
 	}
 }
+
+// TestRunHonorsCancelledContext checks every OMP and OOC variant stops
+// under an already-cancelled context: Run must return an error, not
+// report success over a partial output.
+func TestRunHonorsCancelledContext(t *testing.T) {
+	x := tensor.RandomCOO([]tensor.Index{18, 14, 22}, 1200, rand.New(rand.NewSource(9)))
+	wb := NewWorkbench(x, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, v := range All() {
+		if v.Backend != OMP && v.Backend != OOC {
+			continue
+		}
+		inst, err := v.Prepare(wb, 0)
+		if err != nil {
+			t.Fatalf("%s Prepare: %v", v, err)
+		}
+		if err := inst.Run(ctx); err == nil {
+			t.Errorf("%s: Run under a cancelled context returned nil", v)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 
 // Generic variant instantiation: the grid cells no hand-tuned override
 // claims are filled by the level-iterator kernel bodies in
-// internal/levels, prepared on whatever hierarchy the conversion
-// planner deems cheapest. The serial rung is always the COO reference
-// (SerialRef), matching the CSF/fCOO convention.
+// internal/levels, prepared on the hierarchy the workbench's fixed
+// conversion path yields (see planner.go). The serial rung is always the
+// COO reference (SerialRef), matching the fCOO convention.
 
 // genericModeOrder places the kernel's mode of interest where its
 // generic body wants it: Mttkrp assembles the output mode first (root

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/roofline"
 	"repro/internal/tensor"
@@ -14,133 +13,33 @@ func plannerTensor() *tensor.COO {
 	return tensor.RandomCOO([]tensor.Index{30, 25, 20}, 400, rand.New(rand.NewSource(11)))
 }
 
-// TestConvCostsTable pins the cost table's lookup order: a measured
-// edge beats its prior, an unmeasured edge falls back to the static
-// prior, an unknown edge to the FromCOO prior, and Observe folds
-// repeated measurements into a moving average rather than keeping only
-// the last sample.
-func TestConvCostsTable(t *testing.T) {
-	c := NewConvCosts()
-	if c.Measured(EdgeCSFFromCOO) {
-		t.Fatal("fresh table claims a measurement")
-	}
-	if got := c.Estimate(EdgeBlockRoot); got != defaultCostPriors[EdgeBlockRoot] {
-		t.Fatalf("unmeasured estimate %g, want prior %g", got, defaultCostPriors[EdgeBlockRoot])
-	}
-	if got := c.Estimate("no.such.edge"); got != defaultCostPriors[EdgeCSFFromCOO] {
-		t.Fatalf("unknown-edge estimate %g, want FromCOO prior %g", got, defaultCostPriors[EdgeCSFFromCOO])
-	}
-	// 1000 nnz in 10µs → 10 ns/nnz; then 1000 nnz in 30µs → 30 ns/nnz;
-	// the EWMA (α=0.5) lands at 20.
-	c.Observe(EdgeCSFFromCOO, 1000, 10*time.Microsecond)
-	c.Observe(EdgeCSFFromCOO, 1000, 30*time.Microsecond)
-	if got := c.Estimate(EdgeCSFFromCOO); got != 20 {
-		t.Fatalf("EWMA estimate %g, want 20", got)
-	}
-	c.Observe(EdgeCSFFromCOO, 0, time.Second) // zero nnz: ignored
-	if got := c.Estimate(EdgeCSFFromCOO); got != 20 {
-		t.Fatalf("zero-nnz observation changed estimate to %g", got)
-	}
-	if !c.Measured(EdgeCSFFromCOO) {
-		t.Fatal("observed edge not marked measured")
-	}
-	if snap := c.Snapshot(); snap[EdgeCSFFromCOO] != 20 {
-		t.Fatalf("snapshot %v missing the measurement", snap)
-	}
-}
-
-// TestPlannerPicksCheaperPath injects synthetic cost tables and checks
-// the planner picks the measured-cheapest conversion path for each
-// scenario, reporting the choice in the plan string. Each scenario uses
-// a fresh workbench so cached hierarchies and resident CSF trees from
-// one case cannot leak into the next.
-func TestPlannerPicksCheaperPath(t *testing.T) {
+// TestPlannerFixedPaths checks each level-view format takes its one
+// conversion path and reports it in the plan string: CSF and blocked-CSF
+// go through the cached csf.FromCOO tree (reused when resident), COO and
+// HiCOO views are built directly. Each case uses a fresh workbench so
+// cached trees and hierarchies cannot leak between cases.
+func TestPlannerFixedPaths(t *testing.T) {
 	mo := []int{0, 1, 2}
 	cases := []struct {
-		name    string
 		format  roofline.Format
 		seedCSF bool // make a CSF tree resident before planning
-		costs   map[string]float64
 		want    string
 	}{
-		{
-			name:   "bCSF direct when build is cheap",
-			format: roofline.BCSF,
-			costs: map[string]float64{
-				EdgeBuild + ":bCSF": 1,
-				EdgeCSFFromCOO:      1000,
-				EdgeBlockRoot:       1000,
-			},
-			want: "direct:" + EdgeBuild + ":bCSF",
-		},
-		{
-			name:   "bCSF via CSF when sort dominates build",
-			format: roofline.BCSF,
-			costs: map[string]float64{
-				EdgeBuild + ":bCSF": 1000,
-				EdgeCSFFromCOO:      1,
-				EdgeBlockRoot:       1,
-			},
-			want: "via-csf:" + EdgeCSFFromCOO + "+" + EdgeBlockRoot,
-		},
-		{
-			name:    "bCSF reuses a resident tree",
-			format:  roofline.BCSF,
-			seedCSF: true,
-			costs: map[string]float64{
-				EdgeBuild + ":bCSF": 1000,
-				EdgeBlockRoot:       1,
-			},
-			want: "reuse-csf:" + EdgeBlockRoot,
-		},
-		{
-			name:   "CSF direct when build is cheap",
-			format: roofline.CSF,
-			costs: map[string]float64{
-				EdgeBuild + ":CSF": 1,
-				EdgeCSFFromCOO:     1000,
-			},
-			want: "direct:" + EdgeBuild + ":CSF",
-		},
-		{
-			name:   "CSF via FromCOO when it measures cheaper",
-			format: roofline.CSF,
-			costs: map[string]float64{
-				EdgeBuild + ":CSF": 1000,
-				EdgeCSFFromCOO:     1,
-			},
-			want: "via-csf:" + EdgeCSFFromCOO,
-		},
-		{
-			name:    "CSF wraps a resident tree for free",
-			format:  roofline.CSF,
-			seedCSF: true,
-			costs: map[string]float64{
-				EdgeBuild + ":CSF": 1, // even a cheap direct build loses to a free wrap
-				EdgeCSFFromCOO:     1000,
-			},
-			want: "reuse-csf",
-		},
-		{
-			name:   "COO has no CSF shortcut",
-			format: roofline.COO,
-			costs: map[string]float64{
-				EdgeCSFFromCOO: 0.001, // irrelevant however cheap
-			},
-			want: "direct:" + EdgeBuild + ":COO",
-		},
+		{roofline.CSF, false, "via-csf:" + EdgeCSFFromCOO},
+		{roofline.CSF, true, "reuse-csf"},
+		{roofline.BCSF, false, "via-csf:" + EdgeCSFFromCOO + "+" + EdgeBlockRoot},
+		{roofline.BCSF, true, "reuse-csf:" + EdgeBlockRoot},
+		{roofline.COO, false, "direct:" + EdgeBuild + ":COO"},
+		{roofline.HiCOO, false, "direct:" + EdgeBuild + ":HiCOO"},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.want, func(t *testing.T) {
 			wb := NewWorkbench(plannerTensor(), DefaultConfig())
 			if tc.seedCSF {
 				if _, err := wb.CSF(mo, "seed"); err != nil {
 					t.Fatal(err)
 				}
-			}
-			for edge, ns := range tc.costs {
-				wb.Costs().Set(edge, ns)
 			}
 			h, plan, err := wb.Hier(tc.format, mo, "test")
 			if err != nil {
@@ -155,9 +54,16 @@ func TestPlannerPicksCheaperPath(t *testing.T) {
 			if h.NNZ() < wb.X.NNZ() {
 				t.Fatalf("planned hierarchy holds %d values, want >= %d", h.NNZ(), wb.X.NNZ())
 			}
-			// A second request must hit the hierarchy cache, whatever the
-			// table says now.
-			wb.Costs().Set(EdgeBuild+":"+tc.format.String(), 1e9)
+			if tc.format == roofline.CSF || tc.format == roofline.BCSF {
+				// The tree formats alias the workbench's one CSF tree.
+				c, err := wb.CSF(mo, "test")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &h.Vals[0] != &c.Vals[0] {
+					t.Fatal("tree hierarchy does not alias the cached CSF tree")
+				}
+			}
 			h2, plan2, err := wb.Hier(tc.format, mo, "test")
 			if err != nil {
 				t.Fatal(err)
@@ -169,78 +75,49 @@ func TestPlannerPicksCheaperPath(t *testing.T) {
 	}
 }
 
-// TestPlannerLearnsFromConversions checks the feedback loop: executing
-// a conversion populates the cost table with a measurement, so later
-// plans run on observed costs rather than priors.
-func TestPlannerLearnsFromConversions(t *testing.T) {
-	wb := NewWorkbench(plannerTensor(), DefaultConfig())
-	if _, _, err := wb.Hier(roofline.BCSF, []int{0, 1, 2}, "test"); err != nil {
-		t.Fatal(err)
-	}
-	// Priors tie FromCOO and direct build at 100, so the cold bCSF path is
-	// the direct build; that edge must now be measured.
-	if !wb.Costs().Measured(EdgeBuild + ":bCSF") {
-		t.Fatalf("direct build left no measurement; table: %v", wb.Costs().Snapshot())
-	}
-	if _, err := wb.CSF([]int{2, 1, 0}, "seed"); err != nil {
-		t.Fatal(err)
-	}
-	if !wb.Costs().Measured(EdgeCSFFromCOO) {
-		t.Fatalf("CSF conversion left no measurement; table: %v", wb.Costs().Snapshot())
-	}
-}
-
 // TestGeneratedVariantSurfacesPlan checks the plan string rides the
 // Instance out of Prepare — the hook pastabench rows and pastad's /run
-// response read — and that a generic CSF kernel reuses the tree a
-// hand-tuned CSF kernel already built (both order the product mode at
-// the leaves, so the trees coincide).
+// response read — and that the CSF cells share one tree per mode order:
+// Ttm and Ttv both put the product mode at the leaves, and bCSF splits
+// the root of the tree Mttkrp/CSF built.
 func TestGeneratedVariantSurfacesPlan(t *testing.T) {
 	wb := NewWorkbench(plannerTensor(), DefaultConfig())
-	ttm, err := Lookup(roofline.Ttm, roofline.CSF, OMP)
-	if err != nil {
-		t.Fatal(err)
+	prep := func(k roofline.Kernel, f roofline.Format, mode int) *Instance {
+		t.Helper()
+		v, err := Lookup(k, f, OMP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Generated {
+			t.Fatalf("%s: expected a generated variant", v)
+		}
+		inst, err := v.Prepare(wb, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
 	}
-	if !ttm.Generated {
-		t.Fatalf("%s: expected a generated variant", ttm)
+	if got := prep(roofline.Ttm, roofline.CSF, 1).Plan; got != "via-csf:"+EdgeCSFFromCOO {
+		t.Fatalf("cold Ttm/CSF plan = %q, want via-csf:%s", got, EdgeCSFFromCOO)
 	}
-	inst, err := ttm.Prepare(wb, 0)
-	if err != nil {
-		t.Fatal(err)
+	ttv := prep(roofline.Ttv, roofline.CSF, 1)
+	if ttv.Plan != "cached" {
+		t.Fatalf("Ttv/CSF after Ttm/CSF plan = %q, want cached", ttv.Plan)
 	}
-	// Cold workbench, tied priors: the direct build wins.
-	if inst.Plan != "direct:"+EdgeBuild+":CSF" {
-		t.Fatalf("cold plan = %q, want direct build", inst.Plan)
+	prep(roofline.Mttkrp, roofline.CSF, 1)
+	if got := prep(roofline.Mttkrp, roofline.BCSF, 1).Plan; got != "reuse-csf:"+EdgeBlockRoot {
+		t.Fatalf("Mttkrp/bCSF after Mttkrp/CSF plan = %q, want reuse-csf:%s", got, EdgeBlockRoot)
 	}
 
-	// On a fresh workbench, run the hand-tuned Ttv/CSF first: its tree
-	// (product mode at the leaf) is exactly what generic Ttm wants.
-	wb2 := NewWorkbench(plannerTensor(), DefaultConfig())
-	ttv, err := Lookup(roofline.Ttv, roofline.CSF, OMP)
+	ctx := context.Background()
+	if err := ttv.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := wb.Reference(ctx, roofline.Ttv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ttv.Generated {
-		t.Fatalf("%s: expected the hand-tuned fast path", ttv)
-	}
-	if _, err := ttv.Prepare(wb2, 1); err != nil {
-		t.Fatal(err)
-	}
-	inst2, err := ttm.Prepare(wb2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst2.Plan != "reuse-csf" {
-		t.Fatalf("plan after hand-tuned CSF prep = %q, want reuse-csf", inst2.Plan)
-	}
-	if err := inst2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := wb2.Reference(context.Background(), roofline.Ttm, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev := Compare(inst2.Output(), ref); dev > agreementTol {
-		t.Fatalf("reused-tree output deviates %g from reference", dev)
+	if dev := Compare(ttv.Output(), ref); dev > agreementTol {
+		t.Fatalf("cached-tree output deviates %g from reference", dev)
 	}
 }

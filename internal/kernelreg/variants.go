@@ -32,9 +32,9 @@ type handOverride struct {
 
 // handTuned is the override table the grid generator consults: the
 // suite's tuned COO/HiCOO paths on both backends, the multi-device
-// partitioned reductions, CSF's tree kernels, and F-COO's segmented GPU
-// kernels. Everything the old hand-enumerated init registered is here;
-// the agreement tests pin the generated generics against these.
+// partitioned reductions, and F-COO's segmented GPU kernels. The CSF
+// and blocked-CSF cells have no override; the generic level-iterator
+// bodies fill them. The agreement tests pin the generics against these.
 func handTuned() map[regKey]handOverride {
 	hand := make(map[regKey]handOverride)
 	add := func(k roofline.Kernel, f roofline.Format, b Backend, caps Caps,
@@ -66,13 +66,6 @@ func handTuned() map[regKey]handOverride {
 		Caps{ModeDependent: true}, prepTtvCOO)
 	add(roofline.Mttkrp, roofline.COO, MultiGPU,
 		Caps{ModeDependent: true, NeedsFactors: true}, prepMttkrpCOO)
-	// CSF: the mode of interest is placed at the tree position its kernel
-	// wants (leaf for Ttv, root for Mttkrp). No native serial path — the
-	// serial rung is the COO reference.
-	add(roofline.Ttv, roofline.CSF, OMP,
-		Caps{ModeDependent: true, SerialRef: true}, prepTtvCSF)
-	add(roofline.Mttkrp, roofline.CSF, OMP,
-		Caps{ModeDependent: true, NeedsFactors: true, SerialRef: true}, prepMttkrpCSF)
 	// F-COO: segmented-reduction GPU kernels only.
 	add(roofline.Ttv, roofline.FCOO, GPU,
 		Caps{ModeDependent: true, SerialRef: true}, prepTtvFCOO)
@@ -107,7 +100,7 @@ func prepTewCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
 	switch b {
 	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
+		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(wb.Opt(ctx)); return err }
 	case GPU:
 		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
 	default:
@@ -127,7 +120,7 @@ func prepTewHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
 	switch b {
 	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
+		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(wb.Opt(ctx)); return err }
 	case GPU:
 		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
 	default:
@@ -147,7 +140,7 @@ func prepTsCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
 	switch b {
 	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
+		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(wb.Opt(ctx)); return err }
 	case GPU:
 		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
 	default:
@@ -167,7 +160,7 @@ func prepTsHiCOO(wb *Workbench, _ int, b Backend) (*Instance, error) {
 	inst.Serial = func(context.Context) error { p.ExecuteSeq(); return nil }
 	switch b {
 	case OMP:
-		inst.Run = func(ctx context.Context) error { p.ExecuteOMP(wb.Opt(ctx)); return nil }
+		inst.Run = func(ctx context.Context) error { _, err := p.ExecuteOMP(wb.Opt(ctx)); return err }
 	case GPU:
 		inst.Run = wb.onDevice(func() error { p.ExecuteGPU(wb.Device()); return nil })
 	default:
@@ -304,81 +297,6 @@ func prepMttkrpHiCOO(wb *Workbench, mode int, b Backend) (*Instance, error) {
 		inst.Run = wb.onDevice(func() error { _, err := p.ExecuteGPU(wb.Device(), mats); return err })
 	default:
 		return nil, badBackend("Mttkrp/HiCOO", b)
-	}
-	return inst, nil
-}
-
-// prepTtvCSF builds a CSF tree with the product mode at the leaf level
-// and reduces leaves per fiber. The serial rung is the COO reference.
-func prepTtvCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	if b != OMP {
-		return nil, badBackend("Ttv/CSF", b)
-	}
-	mo := append(otherModesOf(wb.X.Order(), mode), mode)
-	c, err := wb.CSF(mo, "Ttv-leaf")
-	if err != nil {
-		return nil, err
-	}
-	ref, err := core.PrepareTtv(wb.X, mode)
-	if err != nil {
-		return nil, err
-	}
-	v := wb.Vec(mode)
-	var cur any
-	inst := &Instance{Flops: 2 * int64(wb.X.NNZ())}
-	inst.out = func() any { return cur }
-	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = func(ctx context.Context) error {
-		out, err := c.TtvLeaf(v, wb.Opt(ctx))
-		if err == nil {
-			cur = out
-		}
-		return err
-	}
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(v)
-		if err == nil {
-			cur = ref.Out
-		}
-		return err
-	}
-	return inst, nil
-}
-
-// prepMttkrpCSF builds a CSF tree with the output mode at the root:
-// root subtrees own disjoint output rows, so the parallel loop needs no
-// atomics. The serial rung is the COO reference.
-func prepMttkrpCSF(wb *Workbench, mode int, b Backend) (*Instance, error) {
-	if b != OMP {
-		return nil, badBackend("Mttkrp/CSF", b)
-	}
-	mo := append([]int{mode}, otherModesOf(wb.X.Order(), mode)...)
-	c, err := wb.CSF(mo, "Mttkrp-root")
-	if err != nil {
-		return nil, err
-	}
-	ref, err := core.PrepareMttkrp(wb.X, mode, wb.R())
-	if err != nil {
-		return nil, err
-	}
-	mats := wb.Mats()
-	var cur any
-	inst := &Instance{Flops: int64(wb.X.Order()) * int64(wb.X.NNZ()) * int64(wb.R())}
-	inst.out = func() any { return cur }
-	inst.Check = func() error { return checkFinite(cur) }
-	inst.Run = func(ctx context.Context) error {
-		out, err := c.MttkrpRoot(mats, wb.Opt(ctx))
-		if err == nil {
-			cur = out
-		}
-		return err
-	}
-	inst.Serial = func(context.Context) error {
-		_, err := ref.ExecuteSeq(mats)
-		if err == nil {
-			cur = ref.Out
-		}
-		return err
 	}
 	return inst, nil
 }

@@ -74,10 +74,6 @@ type Workbench struct {
 	devs  []*gpusim.Device
 	tiled *tensor.TileReader // v3 tile view of X for the OOC variants
 
-	// costs is the per-dataset conversion cost table the planner reads
-	// and every observed conversion feeds (see planner.go).
-	costs *ConvCosts
-
 	// refMu guards refs. References are computed outside the lock (the
 	// computation itself Prepares and runs a serial instance, which takes
 	// mu), so two goroutines may race to compute the same reference; both
@@ -110,7 +106,6 @@ func NewWorkbench(x *tensor.COO, cfg Config) *Workbench {
 		csfs:  make(map[string]*csf.CSF),
 		hiers: make(map[string]*levels.Hierarchy),
 		refs:  make(map[refKey]Canon),
-		costs: NewConvCosts(),
 	}
 }
 

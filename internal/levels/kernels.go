@@ -10,8 +10,9 @@ import (
 // Generic kernel bodies: one Mttkrp, one Ttv, one Ttm, each
 // instantiating over any hierarchy. They are the composition dividend
 // of the level abstraction — a new format gets all three by declaring
-// its levels — and the registered hand-tuned variants remain the fast
-// paths the agreement tests pin these against.
+// its levels. They serve every CSF and blocked-CSF grid cell; the COO
+// and HiCOO cells keep core's hand-tuned kernels, which the agreement
+// tests pin these against.
 
 // Mttkrp computes the matricized-tensor-times-Khatri-Rao product for
 // one output mode over any hierarchy whose prefix up to the output
@@ -163,45 +164,29 @@ func (w *mttkrpWalker) gather(level, lo, hi int, dst []tensor.Value) {
 // hierarchy whose leaf level completes the product mode (the mode
 // order the generated grid prepares: product mode last). Every node at
 // the second-deepest level reduces its leaves to one output non-zero,
-// like CSF's TtvLeaf but for arbitrary level structures — including
-// blocked ones, where the leaf coordinate combines with coarse bits
-// collected along the path.
+// for arbitrary level structures — including blocked ones, where the
+// leaf coordinate combines with coarse bits collected along the path.
 func Ttv(h *Hierarchy, mode int, v tensor.Vector, opt parallel.Options) (*tensor.COO, error) {
 	if err := checkLeafKernel(h, mode, len(v)); err != nil {
 		return nil, err
 	}
-	order := h.Order()
 	last := h.Depth() - 1
 	parents := h.NumNodes(last - 1)
-
-	outDims := make([]tensor.Index, 0, order-1)
-	outSlot := make([]int, order) // tensor mode → output index position
-	pos := 0
-	for n := 0; n < order; n++ {
+	outDims := make([]tensor.Index, 0, h.Order()-1)
+	for n, d := range h.Dims {
 		if n != mode {
-			outDims = append(outDims, h.Dims[n])
-			outSlot[n] = pos
-			pos++
+			outDims = append(outDims, d)
 		}
 	}
 	out := &tensor.COO{
 		Dims: outDims,
-		Inds: make([][]tensor.Index, order-1),
+		Inds: parentColumns(h.Order()-1, parents),
 		Vals: make([]tensor.Value, parents),
-	}
-	for on := range out.Inds {
-		out.Inds[on] = make([]tensor.Index, parents)
 	}
 	// Sequential upper walk fills every parent's output coordinates and
 	// the product mode's coarse bits; the leaf reduction then runs in
 	// parallel over parents.
-	coarse := fillParents(h, mode, func(p int, idx []tensor.Index) {
-		for n := 0; n < order; n++ {
-			if n != mode {
-				out.Inds[outSlot[n]][p] = idx[n]
-			}
-		}
-	})
+	coarse := fillParents(h, mode, out.Inds)
 	fptr := h.Ptr[last-1]
 	leafCrd := h.Crd[last]
 	shift := h.Sig.Levels[last].Shift
@@ -226,31 +211,25 @@ func Ttm(h *Hierarchy, mode int, u *tensor.Matrix, opt parallel.Options) (*tenso
 	if err := checkLeafKernel(h, mode, u.Rows); err != nil {
 		return nil, err
 	}
-	order := h.Order()
 	last := h.Depth() - 1
 	parents := h.NumNodes(last - 1)
 	r := u.Cols
 
 	outDims := append([]tensor.Index(nil), h.Dims...)
 	outDims[mode] = tensor.Index(r)
-	out := tensor.NewSemiCOO(outDims, []int{mode}, parents)
-	sparseIdx := make([]tensor.Index, order-1)
-	coarse := fillParents(h, mode, func(_ int, idx []tensor.Index) {
-		s := 0
-		for n := 0; n < order; n++ {
-			if n != mode {
-				sparseIdx[s] = idx[n]
-				s++
-			}
-		}
-		out.AppendFiber(sparseIdx)
-	})
+	out := &tensor.SemiCOO{
+		Dims:       outDims,
+		DenseModes: []int{mode},
+		Inds:       parentColumns(h.Order()-1, parents),
+		Vals:       make([]tensor.Value, parents*r),
+	}
+	coarse := fillParents(h, mode, out.Inds)
 	fptr := h.Ptr[last-1]
 	leafCrd := h.Crd[last]
 	shift := h.Sig.Levels[last].Shift
 	err := parallel.For(parents, opt, func(lo, hi, _ int) {
 		for p := lo; p < hi; p++ {
-			fib := out.FiberVals(p)
+			fib := out.Vals[p*r : (p+1)*r]
 			hiBits := coarse[p]
 			for x := fptr[p]; x < fptr[p+1]; x++ {
 				v := h.Vals[x]
@@ -281,33 +260,82 @@ func checkLeafKernel(h *Hierarchy, mode, operandLen int) error {
 	return nil
 }
 
-// fillParents walks levels 0..Depth-2 sequentially, invoking yield once
-// per node of the second-deepest level (in node order) with the fully
-// assembled coordinates of every non-product mode, and returns the
-// product mode's partial bits at each such node (blocked hierarchies
-// store the product mode's coarse bits above the leaf).
-func fillParents(h *Hierarchy, mode int, yield func(p int, idx []tensor.Index)) []tensor.Index {
-	last := h.Depth() - 1
-	coarse := make([]tensor.Index, h.NumNodes(last-1))
-	idx := make([]tensor.Index, h.Order())
-	p := 0
-	var walk func(level, lo, hi int)
-	walk = func(level, lo, hi int) {
-		d := h.Sig.Levels[level]
-		m := h.Mode(level)
-		for node := lo; node < hi; node++ {
-			save := idx[m]
-			idx[m] = save | h.Crd[level][node]<<d.Shift
-			if level == last-1 {
-				coarse[p] = idx[mode]
-				yield(p, idx)
-				p++
-			} else {
-				walk(level+1, int(h.Ptr[level][node]), int(h.Ptr[level][node+1]))
-			}
-			idx[m] = save
+// parentColumns allocates n coordinate columns of the given length.
+func parentColumns(n, length int) [][]tensor.Index {
+	cols := make([][]tensor.Index, n)
+	for i := range cols {
+		cols[i] = make([]tensor.Index, length)
+	}
+	return cols
+}
+
+// fillParents walks levels 0..Depth-2 depth-first and writes, for every
+// node p of the second-deepest level, the assembled coordinate of each
+// non-product mode into cols (one column per non-product mode, ascending
+// mode order — the layout COO and semi-sparse outputs share). It returns
+// the product mode's partial bits at each such node (blocked
+// hierarchies store the product mode's coarse bits above the leaf).
+func fillParents(h *Hierarchy, mode int, cols [][]tensor.Index) []tensor.Index {
+	parent := h.Depth() - 2
+	coarse := make([]tensor.Index, h.NumNodes(parent))
+	w := &parentWalker{
+		h:      h,
+		parent: parent,
+		idx:    make([]tensor.Index, h.Order()),
+		dst:    make([][]tensor.Index, h.Order()),
+	}
+	c := 0
+	for n := range w.dst {
+		if n == mode {
+			w.dst[n] = coarse
+		} else {
+			w.dst[n] = cols[c]
+			c++
 		}
 	}
-	walk(0, 0, h.NumNodes(0))
+	w.walk(0, 0, h.NumNodes(0))
 	return coarse
+}
+
+// parentWalker carries fillParents' state down the recursion. dst holds
+// one destination column per tensor mode, indexed by parent node; the
+// product mode's column receives the coarse bits.
+type parentWalker struct {
+	h      *Hierarchy
+	parent int            // the second-deepest level
+	idx    []tensor.Index // coordinate bits assembled along the path
+	dst    [][]tensor.Index
+}
+
+// walk visits nodes [lo, hi) of one level. Nodes of the parent level
+// are numbered in visit order, so node doubles as the output position;
+// across one sibling range only the level's own mode varies, so every
+// other column is a constant fill.
+func (w *parentWalker) walk(level, lo, hi int) {
+	h := w.h
+	m := h.Mode(level)
+	shift := h.Sig.Levels[level].Shift
+	crd := h.Crd[level]
+	save := w.idx[m]
+	if level == w.parent {
+		for n, col := range w.dst {
+			if n == m {
+				for node := lo; node < hi; node++ {
+					col[node] = save | crd[node]<<shift
+				}
+				continue
+			}
+			fill := w.idx[n]
+			for node := lo; node < hi; node++ {
+				col[node] = fill
+			}
+		}
+		return
+	}
+	ptr := h.Ptr[level]
+	for node := lo; node < hi; node++ {
+		w.idx[m] = save | crd[node]<<shift
+		w.walk(level+1, int(ptr[node]), int(ptr[node+1]))
+	}
+	w.idx[m] = save
 }

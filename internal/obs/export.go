@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -97,45 +96,6 @@ func WriteChromeTraceFile(path string, spans []Span) error {
 		return fmt.Errorf("obs: refusing to write malformed trace: %w", err)
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// jsonlSpan is the JSONL event-log record for one span.
-type jsonlSpan struct {
-	Name    string            `json:"name"`
-	Variant string            `json:"variant,omitempty"`
-	Phase   string            `json:"phase"`
-	Worker  int32             `json:"worker"`
-	Instant bool              `json:"instant,omitempty"`
-	StartUs float64           `json:"start_us"`
-	DurUs   float64           `json:"dur_us"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL renders spans as a JSON-Lines event log, one span per
-// line, for downstream tools that stream rather than load a document.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		var attrs map[string]string
-		if len(s.Attrs) > 0 {
-			attrs = make(map[string]string, len(s.Attrs))
-			for _, a := range s.Attrs {
-				attrs[a.Key] = a.Val
-			}
-		}
-		rec := jsonlSpan{
-			Name: s.Name, Variant: s.Variant, Phase: s.Phase.String(),
-			Worker: s.Worker, Instant: s.Instant,
-			StartUs: float64(s.Start) / float64(time.Microsecond),
-			DurUs:   float64(s.Dur) / float64(time.Microsecond),
-			Attrs:   attrs,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // PhaseSummary aggregates the spans of one (phase, name) pair.

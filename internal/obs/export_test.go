@@ -114,20 +114,6 @@ func TestValidateAcceptsBEPairs(t *testing.T) {
 	}
 }
 
-func TestJSONL(t *testing.T) {
-	var b strings.Builder
-	if err := WriteJSONL(&b, sampleSpans()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("JSONL wrote %d lines, want 4", len(lines))
-	}
-	if !strings.Contains(lines[0], `"phase":"prepare"`) {
-		t.Fatalf("line 0 = %s", lines[0])
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	spans := []Span{
 		{Name: "a", Phase: PhaseChunk, Dur: 3 * time.Millisecond},

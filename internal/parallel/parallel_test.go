@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -86,18 +85,6 @@ func TestForSingleThreadRunsInline(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	n := 500
-	var sum atomic.Int64
-	ForEach(n, Options{Schedule: Dynamic}, func(i, w int) {
-		sum.Add(int64(i))
-	})
-	want := int64(n * (n - 1) / 2)
-	if sum.Load() != want {
-		t.Fatalf("sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestForUnknownSchedulePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -146,21 +133,6 @@ func TestAtomicAddFloat64(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64(t *testing.T) {
-	n := 100000
-	got := ReduceFloat64(n, Options{Schedule: Static, Threads: 7}, func(lo, hi, w int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	})
-	want := float64(n) * float64(n-1) / 2
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("reduce = %v, want %v", got, want)
-	}
-}
-
 func TestScheduleString(t *testing.T) {
 	if Static.String() != "static" || Dynamic.String() != "dynamic" || Guided.String() != "guided" {
 		t.Fatal("Schedule.String wrong")
@@ -190,46 +162,6 @@ func TestGuidedExactlyOnceUnderContention(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestReduceFloat64ThreadChurn recomputes a known reduction while another
-// goroutine flips the global thread count. Before ReduceFloat64 pinned
-// its resolved count through opt.Threads, For could re-read a larger
-// NumThreads and hand out worker ids past the partial array.
-func TestReduceFloat64ThreadChurn(t *testing.T) {
-	orig := NumThreads()
-	defer SetNumThreads(orig)
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			SetNumThreads(i%8 + 1)
-		}
-	}()
-
-	n := 10000
-	want := float64(n) * float64(n-1) / 2
-	for iter := 0; iter < 300; iter++ {
-		got := ReduceFloat64(n, Options{Schedule: Dynamic}, func(lo, hi, w int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += float64(i)
-			}
-			return s
-		})
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("iter %d: reduce = %v, want %v", iter, got, want)
-		}
-	}
-	close(stop)
-	<-done
 }
 
 // TestResolveThreads pins the clamping rules per-worker state sizing

@@ -150,12 +150,3 @@ func TestForSerialWithHookKeepsChunkGranularity(t *testing.T) {
 		t.Fatalf("hook ran %d times at T=1, want 100 chunks", calls.Load())
 	}
 }
-
-func TestForEachPropagatesDeadline(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := ForEach(100_000, Options{Threads: 4, Ctx: ctx}, func(i, _ int) {})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-}

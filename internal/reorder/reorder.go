@@ -151,27 +151,6 @@ func (p *Perm) Apply(t *tensor.COO) (*tensor.COO, error) {
 	return out, nil
 }
 
-// ApplyToVector permutes a dense mode-n operand to match a relabeled
-// tensor: out[new] = v[old].
-func (p *Perm) ApplyToVector(v tensor.Vector, mode int) tensor.Vector {
-	m := p.Maps[mode]
-	out := make(tensor.Vector, len(v))
-	for old, val := range v {
-		out[m[old]] = val
-	}
-	return out
-}
-
-// ApplyToMatrix permutes the rows of a dense mode-n factor matrix.
-func (p *Perm) ApplyToMatrix(u *tensor.Matrix, mode int) *tensor.Matrix {
-	m := p.Maps[mode]
-	out := tensor.NewMatrix(u.Rows, u.Cols)
-	for old := 0; old < u.Rows; old++ {
-		copy(out.Row(int(m[old])), u.Row(old))
-	}
-	return out
-}
-
 // Inverse returns the relabeling that undoes p.
 func (p *Perm) Inverse() *Perm {
 	inv := &Perm{Maps: make([][]tensor.Index, len(p.Maps))}

@@ -129,7 +129,11 @@ func TestReorderedKernelsGiveSameResults(t *testing.T) {
 	}
 	rmats := make([]*tensor.Matrix, x.Order())
 	for n := range mats {
-		rmats[n] = p.ApplyToMatrix(mats[n], n)
+		// Relabel the factor rows the way the tensor was relabeled.
+		rmats[n] = tensor.NewMatrix(mats[n].Rows, mats[n].Cols)
+		for old := 0; old < mats[n].Rows; old++ {
+			copy(rmats[n].Row(int(p.Maps[n][old])), mats[n].Row(old))
+		}
 	}
 	got, err := core.Mttkrp(y, rmats, 0)
 	if err != nil {
@@ -149,47 +153,6 @@ func TestReorderedKernelsGiveSameResults(t *testing.T) {
 				t.Fatalf("row %d col %d differs: %v vs %v", old, c, newRow[c], oldRow[c])
 			}
 		}
-	}
-}
-
-func TestApplyToVector(t *testing.T) {
-	x := tensor.NewCOO([]tensor.Index{3, 3}, 1)
-	x.Append([]tensor.Index{0, 0}, 1)
-	p := &Perm{Maps: [][]tensor.Index{{2, 0, 1}, {0, 1, 2}}}
-	if err := p.Validate(x.Dims); err != nil {
-		t.Fatal(err)
-	}
-	v := tensor.Vector{10, 20, 30}
-	w := p.ApplyToVector(v, 0)
-	// old 0 -> new 2, old 1 -> new 0, old 2 -> new 1.
-	if w[2] != 10 || w[0] != 20 || w[1] != 30 {
-		t.Fatalf("ApplyToVector = %v", w)
-	}
-	// Ttv on relabeled tensor with relabeled vector equals original.
-	rng := rand.New(rand.NewSource(10))
-	big := tensor.RandomCOO([]tensor.Index{50, 60}, 400, rng)
-	perm := ByDegree(big)
-	rb, err := perm.Apply(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec := tensor.RandomVector(60, rng)
-	want, err := core.Ttv(big, vec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.Ttv(rb, perm.ApplyToVector(vec, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Undo the mode-0 relabeling on the output for comparison.
-	inv := &Perm{Maps: [][]tensor.Index{perm.Inverse().Maps[0]}}
-	restored, err := inv.Apply(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.AbsDiff(want, restored); d > 1e-3 {
-		t.Fatalf("reordered Ttv differs by %v", d)
 	}
 }
 

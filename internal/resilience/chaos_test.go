@@ -210,8 +210,8 @@ func TestDivNonFiniteDetected(t *testing.T) {
 		rep := r.Do(context.Background(), resilience.Trial{
 			Label: resilience.Label{Kernel: "Tew", Format: "COO", Backend: "omp"},
 			Rungs: []resilience.Rung{{Backend: "omp", Exec: func(ctx context.Context) error {
-				plan.ExecuteOMP(chaosOpt(ctx))
-				return nil
+				_, err := plan.ExecuteOMP(chaosOpt(ctx))
+				return err
 			}}},
 			Check: func() error { return resilience.CheckFinite(plan.Out.Vals) },
 		})
@@ -237,8 +237,8 @@ func TestDivNonFiniteDetected(t *testing.T) {
 		rep := r.Do(context.Background(), resilience.Trial{
 			Label: resilience.Label{Kernel: "Ts", Format: "COO", Backend: "omp"},
 			Rungs: []resilience.Rung{{Backend: "omp", Exec: func(ctx context.Context) error {
-				plan.ExecuteOMP(chaosOpt(ctx))
-				return nil
+				_, err := plan.ExecuteOMP(chaosOpt(ctx))
+				return err
 			}}},
 			Check: func() error { return resilience.CheckFinite(plan.Out.Vals) },
 		})

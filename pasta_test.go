@@ -52,7 +52,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	z1 := append([]pasta.Value(nil), tew.ExecuteSeq().Vals...)
-	tew.ExecuteOMP(pasta.Dynamic())
+	if _, err := tew.ExecuteOMP(pasta.Dynamic()); err != nil {
+		t.Fatal(err)
+	}
 	z2 := append([]pasta.Value(nil), tew.Out.Vals...)
 	tew.ExecuteGPU(dev)
 	for i := range z1 {
@@ -61,7 +63,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Ttv in each mode, COO vs HiCOO vs CSF-leaf.
+	// Ttv in each mode, COO vs HiCOO.
 	for mode := 0; mode < 3; mode++ {
 		v := pasta.RandomVector(int(x.Dim(mode)), rng)
 		pc, err := pasta.PrepareTtv(x, mode)
@@ -80,28 +82,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mo := []int{}
-		for n := 0; n < 3; n++ {
-			if n != mode {
-				mo = append(mo, n)
-			}
-		}
-		cs, err := pasta.ToCSF(x, append(mo, mode))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ys, err := cs.TtvLeaf(v, pasta.Static())
-		if err != nil {
-			t.Fatal(err)
-		}
 		a := yc.ToMap()
 		b := yh.ToCOO().ToMap()
-		d := ys.ToMap()
-		if len(a) != len(b) || len(a) != len(d) {
-			t.Fatalf("mode %d: Ttv nnz differ: COO %d, HiCOO %d, CSF %d", mode, len(a), len(b), len(d))
+		if len(a) != len(b) {
+			t.Fatalf("mode %d: Ttv nnz differ: COO %d, HiCOO %d", mode, len(a), len(b))
 		}
 		for k, av := range a {
-			if math.Abs(float64(av-b[k])) > 1e-3 || math.Abs(float64(av-d[k])) > 1e-3 {
+			if math.Abs(float64(av-b[k])) > 1e-3 {
 				t.Fatalf("mode %d: Ttv values differ at %q", mode, k)
 			}
 		}
@@ -223,7 +210,10 @@ func TestFacadeThreadsControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := p.ExecuteOMP(pasta.Static())
+	out, err := p.ExecuteOMP(pasta.Static())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range out.Vals {
 		if out.Vals[i] != 2*x.Vals[i] {
 			t.Fatal("Ts wrong under restricted threads")
